@@ -13,6 +13,7 @@ out-of-bounds test values are clamped.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,8 @@ def load_wbc_csv(path) -> list[Sample]:
                 feats = tuple(float(v) for v in row[2 : 2 + N_FEATURES])
             except ValueError as e:
                 raise ValueError(f"row {lineno}: non-numeric feature: {e}") from None
+            if not all(map(math.isfinite, feats)):
+                raise ValueError(f"row {lineno}: non-finite feature in {feats}")
             samples.append(Sample(feats, label))
     if not samples:
         raise ValueError(f"{path}: no data rows")

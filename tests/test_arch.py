@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qubitnet import arch
+from qubitnet import arch, qsim
 from qubitnet.arch import FULLY_ENTANGLED, PARTIAL_CHAIN, Architecture
 
 
@@ -26,6 +29,20 @@ def test_rejects_wrong_param_length():
     a = Architecture(5, 2, PARTIAL_CHAIN)
     with pytest.raises(ValueError):
         arch.build_circuit(a, np.zeros(5), np.zeros(9))
+
+
+def test_forward_rejects_non_finite_input():
+    a = Architecture(2, 1, PARTIAL_CHAIN)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            arch.forward(a, [bad, 0.0], [0.0, 0.0])
+
+
+def test_check_params_rejects_non_finite():
+    a = Architecture(2, 1, PARTIAL_CHAIN)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            arch.check_params(a, [bad, 0.0])
 
 
 def test_rejects_out_of_range_input_angles():
@@ -118,6 +135,12 @@ def test_forward_batch_matches_scalar_forward(a):
     batch = arch.forward_batch(a, angles, rows)
     scalar = [arch.forward(a, angles, r) for r in rows]
     assert np.max(np.abs(batch - scalar)) < 1e-12
+    n = a.n_qubits
+    oracle = [
+        qsim.prob_one(qsim.dense_oracle(n, arch.build_circuit(a, angles, r)), n - 1)
+        for r in rows
+    ]
+    assert np.max(np.abs(batch - oracle)) < 1e-12
 
 
 def test_forward_batch_rejects_wrong_row_length():
@@ -137,3 +160,39 @@ def test_forward_is_continuous_in_each_param():
         bumped = params.copy()
         bumped[k] += delta
         assert abs(arch.forward(a, angles, bumped) - base) < 1e-3
+
+
+# Property tests: derandomized, so every run draws the same examples.
+PROPERTY = settings(derandomize=True, deadline=None)
+
+
+@st.composite
+def batches(draw):
+    """An architecture, one input, a batch of parameter rows and a row order."""
+    a = draw(st.sampled_from([
+        Architecture(3, 2, PARTIAL_CHAIN),
+        Architecture(5, 1, PARTIAL_CHAIN),
+        Architecture(3, 1, FULLY_ENTANGLED),
+    ]))
+    b = draw(st.integers(1, 8))
+    angles = draw(arrays(float, a.n_qubits, elements=st.floats(0, np.pi)))
+    rows = draw(arrays(float, (b, arch.param_count(a)), elements=st.floats(-np.pi, np.pi)))
+    order = np.array(draw(st.permutations(range(b))))
+    return a, angles, rows, order
+
+
+@PROPERTY
+@given(batches())
+def test_forward_batch_is_row_permutation_equivariant(batch):
+    a, angles, rows, order = batch
+    out = arch.forward_batch(a, angles, rows)
+    assert np.array_equal(arch.forward_batch(a, angles, rows[order]), out[order])
+
+
+@PROPERTY
+@given(batches())
+def test_row_alone_matches_row_in_batch(batch):
+    a, angles, rows, _ = batch
+    out = arch.forward_batch(a, angles, rows)
+    alone = [arch.forward(a, angles, r) for r in rows]
+    assert np.max(np.abs(out - alone)) < 1e-12

@@ -134,6 +134,19 @@ def test_evaluate_rejects_wrong_param_length(small_csv, tmp_path, capsys):
     assert "2" in err and "10" in err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_non_finite_params_file_fails(command, small_csv, tmp_path, capsys):
+    params = tmp_path / "p"
+    params.write_text("index,value\n" + "".join(f"{k},0.0\n" for k in range(9)) + "9,nan\n")
+    args = [
+        command, "--data", str(small_csv), "--params", str(params),
+        "--qubits", "10", "--layers", "1",
+    ]
+    args += ["--out", str(tmp_path / "e")] if command == "evaluate" else ["--index", "0"]
+    assert cli.main(args) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_predict_zero_patch_zero_params(tmp_path, capsys):
     pgm = tmp_path / "img.pgm"
     pgm.write_text("P2\n4 4\n255\n" + " ".join(["0"] * 16) + "\n")

@@ -77,6 +77,14 @@ def test_non_numeric_feature_reports_row(tmp_path):
         data.load_wbc_csv(p)
 
 
+def test_non_finite_feature_reports_row(tmp_path):
+    good = make_row("B", range(10))
+    for bad in ("nan", "inf", "-inf"):
+        p = write_csv(tmp_path, [good, make_row("M", range(10)).replace("3,", bad + ",", 1)])
+        with pytest.raises(ValueError, match="row 2: non-finite"):
+            data.load_wbc_csv(p)
+
+
 def test_compute_bounds_simple():
     s0 = data.Sample(tuple([0.0] + [5.0] * 9), 0)
     s1 = data.Sample(tuple([1.0] + [5.0] * 9), 1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubitnet import qsim
 
@@ -159,9 +161,39 @@ def test_gate_is_local_on_product_states():
         assert np.allclose(before, after, atol=1e-12)
 
 
-def test_sample_one_is_seeded_and_plausible():
-    s = qsim.apply_gate(qsim.new_zero_state(1), qsim.ry(np.pi / 2, 0))
-    a = qsim.sample_one(s, 0, shots=10000, seed=5)
-    b = qsim.sample_one(s, 0, shots=10000, seed=5)
-    assert a == b
-    assert abs(a - 0.5) < 0.05
+# Property tests: derandomized, so every run draws the same examples.
+PROPERTY = settings(derandomize=True, deadline=None)
+ANGLE = st.floats(-2 * np.pi, 2 * np.pi)
+
+
+def gates_on(n):
+    qubit = st.integers(0, n - 1)
+    rotations = st.one_of(
+        st.builds(qsim.ry, ANGLE, qubit),
+        st.builds(qsim.rz, ANGLE, qubit),
+        st.builds(qsim.u3, ANGLE, ANGLE, ANGLE, qubit),
+    )
+    if n == 1:
+        return rotations
+    return rotations | st.permutations(range(n)).map(lambda p: qsim.cx(p[0], p[1]))
+
+
+CIRCUITS = st.integers(1, qsim.ORACLE_MAX_QUBITS).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(gates_on(n), min_size=1, max_size=30))
+)
+
+
+@PROPERTY
+@given(CIRCUITS)
+def test_run_circuit_matches_dense_oracle_property(circuit):
+    n, gates = circuit
+    fast = qsim.run_circuit(n, gates)
+    slow = qsim.dense_oracle(n, gates)
+    assert np.max(np.abs(fast.amplitudes - slow.amplitudes)) < 1e-10
+
+
+@PROPERTY
+@given(CIRCUITS)
+def test_run_circuit_preserves_norm_property(circuit):
+    n, gates = circuit
+    assert abs(qsim.run_circuit(n, gates).norm_sq() - 1.0) < 1e-12
