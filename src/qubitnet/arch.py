@@ -12,10 +12,11 @@ The input is encoded as an initial RY(angle) on each qubit; the prediction
 is the probability of measuring 1 on the last qubit (index n-1).
 
 The topology is walked once per architecture, into a cached layout of
-(kind, qubits, first param index) per gate. That layout feeds both
-`build_circuit` (Gate objects, for the dense-oracle tests) and one batched
-run on qsim's kernel: `forward` is its one-row case, and `forward_batch`
-scores many parameter rows that share one input.
+(kind, qubits, first param index) per step, where a step is one rotation or
+a run of consecutive CX gates. That layout feeds both `build_circuit` (Gate
+objects, for the dense-oracle tests) and one batched run on qsim's kernel,
+which applies each CX run as one gather: `forward` is its one-row case, and
+`forward_batch` scores many parameter rows that share one input.
 """
 
 from __future__ import annotations
@@ -82,30 +83,33 @@ _WIDTH = {"ry": 1, "u3": 3}
 
 
 @lru_cache(maxsize=None)
-def _layout(arch: Architecture) -> tuple[tuple[str, tuple[int, ...], int], ...]:
-    """The entangling layers as (kind, qubits, first param index) per gate.
+def _layout(arch: Architecture) -> tuple[tuple[str, tuple, int], ...]:
+    """The entangling layers as (kind, qubits, first param index) per step.
 
-    Parameter consumption is layer-major, then qubit/pair order. A cx takes
-    no parameter; its index is that of the next parameterized gate.
+    A rotation step holds its (target,). A "cx" step is a run of consecutive
+    CX gates and holds their (control, target) pairs in circuit order.
+    Parameter consumption is layer-major, then qubit/pair order. A cx run
+    takes no parameter; its index is that of the next parameterized gate.
     """
     n = arch.n_qubits
-    gates = []
+    steps = []
     k = 0
     for _ in range(arch.n_layers):
         if arch.topology == PARTIAL_CHAIN:
             for q in range(n):
-                gates.append(("ry", (q,), k))
+                steps.append(("ry", (q,), k))
                 k += 1
-            gates += [("cx", (q, q + 1), k) for q in range(n - 1)]
+            if n > 1:
+                steps.append(("cx", tuple((q, q + 1) for q in range(n - 1)), k))
         else:
             for i in range(n):
                 for j in range(n):
                     if i == j:
                         continue
-                    gates.append(("cx", (i, j), k))
-                    gates.append(("u3", (j,), k))
+                    steps.append(("cx", ((i, j),), k))
+                    steps.append(("u3", (j,), k))
                     k += 3
-    return tuple(gates)
+    return tuple(steps)
 
 
 def build_circuit(arch: Architecture, input_angles, params) -> list[qsim.Gate]:
@@ -118,8 +122,11 @@ def build_circuit(arch: Architecture, input_angles, params) -> list[qsim.Gate]:
     p = check_params(arch, params)
     gates = [qsim.ry(a, q) for q, a in enumerate(angles)]
     for kind, qubits, k in _layout(arch):
-        angles_k = tuple(float(v) for v in p[k : k + _WIDTH.get(kind, 0)])
-        gates.append(qsim.Gate(kind, qubits, angles_k))
+        if kind == "cx":
+            gates += [qsim.cx(*pair) for pair in qubits]
+        else:
+            angles_k = tuple(float(v) for v in p[k : k + _WIDTH[kind]])
+            gates.append(qsim.Gate(kind, qubits, angles_k))
     return gates
 
 
@@ -133,7 +140,7 @@ def _run(arch: Architecture, angles: np.ndarray, rows: np.ndarray) -> np.ndarray
     psi = np.repeat(qsim.ry_product_state(angles), len(rows), axis=0)
     for kind, qubits, k in _layout(arch):
         if kind == "cx":
-            psi = qsim.apply_cx(psi, *qubits)
+            psi = qsim.apply_cx_chain(psi, qubits)
         else:
             mats = qsim.u3_matrices(*rows[:, k : k + _WIDTH[kind]].T)
             psi = qsim.apply_1q(psi, mats, *qubits)
@@ -150,8 +157,8 @@ def forward_batch(arch: Architecture, input_angles, param_rows: np.ndarray) -> n
     """forward() for many parameter vectors sharing one input, vectorized.
 
     Equivalent to [forward(arch, input_angles, row) for row in param_rows]
-    up to rounding; exists so a finite-difference gradient's 2P evaluations
-    run as one batched pass.
+    up to rounding; exists so a finite-difference gradient's 2P + 1
+    evaluations run as one batched pass.
     """
     angles = check_input(arch, input_angles)
     rows = np.atleast_2d(np.asarray(param_rows, dtype=float))

@@ -132,14 +132,24 @@ def write_config_echo(cfg: dict, out: Path):
 
 
 def load_params_file(path: str, expected: int) -> np.ndarray:
+    """The value column of a final_params file; errors name the file and line."""
+    values = []
     with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    values = np.array([float(r[1]) for r in rows[1:]])
+        reader = csv.reader(f)
+        next(reader, None)  # header
+        for row in reader:
+            where = f"params file {path} line {reader.line_num}"
+            if len(row) < 2:
+                raise ValueError(f"{where}: expected index,value, got {row}")
+            try:
+                values.append(float(row[1]))
+            except ValueError:
+                raise ValueError(f"{where}: value {row[1]!r} is not a number") from None
     if len(values) != expected:
         raise ValueError(
             f"params file {path} holds {len(values)} values, architecture expects {expected}"
         )
-    return values
+    return np.array(values)
 
 
 def prepare_dataset(cfg: dict):

@@ -31,18 +31,16 @@ class TrainConfig:
     seed: int = 0  # only used by optional shuffle / random-init modes
 
     def __post_init__(self):
-        if self.initial_rate <= 0:
-            raise ValueError("initial_rate must be > 0")
+        for name in ("initial_rate", "fd_step", "loss_clip_epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0 < self.decay_factor < 1:
             raise ValueError("decay_factor must be in (0, 1)")
         if self.decay_patience < 1:
             raise ValueError("decay_patience must be >= 1")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.loss_clip_epsilon <= 0:
-            raise ValueError("loss_clip_epsilon must be > 0")
 
 
 @dataclass
@@ -72,21 +70,22 @@ def finite_diff_gradient(
     params: np.ndarray,
     fd_step: float,
     clip_epsilon: float = 1e-10,
-) -> np.ndarray:
-    """Central difference of the per-sample loss, one parameter at a time.
+) -> tuple[float, np.ndarray]:
+    """(loss at params, central difference of the loss per parameter).
 
-    The 2P shifted evaluations are independent, so they run as one batched
-    forward pass; the result is the same as evaluating them one by one.
+    The unshifted row and the 2P shifted rows are independent, so all 2P + 1
+    run as one batched forward pass; row 0 is the unshifted one, whose loss
+    spares the training loop a separate forward.
     """
     params = arch_mod.check_params(arch, params)
     n_params = len(params)
-    rows = np.tile(params, (2 * n_params, 1))
+    rows = np.tile(params, (2 * n_params + 1, 1))
     for k in range(n_params):
-        rows[2 * k, k] += fd_step
-        rows[2 * k + 1, k] -= fd_step
+        rows[2 * k + 1, k] += fd_step
+        rows[2 * k + 2, k] -= fd_step
     predictions = arch_mod.forward_batch(arch, input_angles, rows)
     losses = np.array([loss(expected, p, clip_epsilon) for p in predictions])
-    return (losses[0::2] - losses[1::2]) / (2.0 * fd_step)
+    return float(losses[0]), (losses[1::2] - losses[2::2]) / (2.0 * fd_step)
 
 
 def step(params: np.ndarray, grad: np.ndarray, rate: float) -> np.ndarray:
@@ -122,7 +121,8 @@ def train_online(
 
     One gradient + one update per sample, in order, for `epochs` passes.
     The loss recorded at each iteration is the loss of the parameters the
-    sample was evaluated with (before the update). Fully deterministic.
+    sample was evaluated with (before the update), taken from the gradient's
+    unshifted row. Fully deterministic.
     """
     if not train_set:
         raise ValueError("training set is empty")
@@ -133,16 +133,14 @@ def train_online(
     iteration = 0
     for _ in range(config.epochs):
         for sample_idx, (angles, label) in enumerate(train_set):
-            predicted = forward(arch, angles, params)
-            current_loss = loss(label, predicted, config.loss_clip_epsilon)
+            current_loss, grad = finite_diff_gradient(
+                arch, angles, label, params, config.fd_step, config.loss_clip_epsilon
+            )
             metrics.losses.append(current_loss)
             metrics.rates.append(rate)
             metrics.sample_indices.append(sample_idx)
             if metrics.param_snapshots is not None:
                 metrics.param_snapshots.append(params.copy())
-            grad = finite_diff_gradient(
-                arch, angles, label, params, config.fd_step, config.loss_clip_epsilon
-            )
             params = step(params, grad, rate)
             iteration += 1
             if iteration % config.decay_patience == 0:

@@ -80,7 +80,7 @@ def test_criterion_3_gradient_oracle():
     a = arch.Architecture(1, 1, arch.PARTIAL_CHAIN)
     worst = 0.0
     for theta in (0.3, 0.9, 1.5, 2.2, 2.9):
-        g = train.finite_diff_gradient(a, np.zeros(1), 1, np.array([theta]), 1e-4)
+        _, g = train.finite_diff_gradient(a, np.zeros(1), 1, np.array([theta]), 1e-4)
         analytic = -1.0 / math.tan(theta / 2)
         worst = max(worst, abs(g[0] - analytic))
     assert report(3, worst < 1e-6, f"max |fd - analytic| = {worst:.2e}")

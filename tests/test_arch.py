@@ -143,6 +143,19 @@ def test_forward_batch_matches_scalar_forward(a):
     assert np.max(np.abs(batch - oracle)) < 1e-12
 
 
+def test_partial_chain_run_allocates_no_complex_array(monkeypatch):
+    dtypes = []
+    for name in ("ry_product_state", "u3_matrices", "apply_1q", "apply_cx_chain"):
+        def spy(*args, _kernel=getattr(qsim, name)):
+            out = _kernel(*args)
+            dtypes.append(out.dtype)
+            return out
+        monkeypatch.setattr(qsim, name, spy)
+    a = Architecture(4, 2, PARTIAL_CHAIN)
+    arch.forward_batch(a, np.full(4, 0.7), np.ones((3, 8)))
+    assert len(dtypes) == 1 + 2 * 8 + 2 and set(dtypes) == {np.dtype(np.float64)}
+
+
 def test_forward_batch_rejects_wrong_row_length():
     a = Architecture(3, 1, PARTIAL_CHAIN)
     with pytest.raises(ValueError):

@@ -147,6 +147,27 @@ def test_non_finite_params_file_fails(command, small_csv, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [("9", "expected index,value, got ['9']"), ("9,abc", "value 'abc' is not a number")],
+    ids=["missing-column", "non-number"],
+)
+def test_malformed_params_file_names_file_and_line(bad_line, message, small_csv, tmp_path, capsys):
+    params = tmp_path / "p"
+    params.write_text("index,value\n" + "".join(f"{k},0.0\n" for k in range(9)) + bad_line + "\n")
+    rc = cli.main([
+        "evaluate", "--data", str(small_csv), "--params", str(params),
+        "--out", str(tmp_path / "e"), "--qubits", "10", "--layers", "1",
+    ])
+    assert rc == 1
+    assert f"error: params file {params} line 11: {message}" in capsys.readouterr().err
+
+
+def test_train_rejects_non_finite_fd_step(small_csv, tmp_path, capsys):
+    assert cli.main(train_args(small_csv, tmp_path / "run", ["--fd-step", "nan"])) == 1
+    assert "fd_step must be finite and > 0, got nan" in capsys.readouterr().err
+
+
 def test_predict_zero_patch_zero_params(tmp_path, capsys):
     pgm = tmp_path / "img.pgm"
     pgm.write_text("P2\n4 4\n255\n" + " ".join(["0"] * 16) + "\n")

@@ -161,6 +161,60 @@ def test_gate_is_local_on_product_states():
         assert np.allclose(before, after, atol=1e-12)
 
 
+def test_ry_matrices_are_real_u3_matrices():
+    theta = np.random.default_rng(19).uniform(-2 * np.pi, 2 * np.pi, size=(5, 3))
+    real = qsim.u3_matrices(theta)
+    full = qsim.u3_matrices(theta, 0.0, 0.0)
+    assert real.dtype == np.float64 and full.dtype == np.complex128
+    assert np.array_equal(real, full.real)
+    assert not np.any(full.imag)
+
+
+def real_batch(rng, order):
+    psi = rng.normal(size=(6, 16))
+    return np.asfortranarray(psi) if order == "F" else psi
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_apply_1q_real_path_matches_complex_path(order):
+    rng = np.random.default_rng(23)
+    psi = real_batch(rng, order)
+    ry_mats = qsim.u3_matrices(rng.uniform(-np.pi, np.pi, 6))
+    u3_mats = qsim.u3_matrices(*rng.uniform(-np.pi, np.pi, (3, 6)))
+    for qubit in range(4):
+        real = qsim.apply_1q(psi, ry_mats, qubit)
+        full = qsim.apply_1q(psi.astype(complex), ry_mats.astype(complex), qubit)
+        assert real.dtype == np.float64 and full.dtype == np.complex128
+        assert np.array_equal(real, full.real)
+        assert not np.any(full.imag)
+        mixed = qsim.apply_1q(psi, u3_mats, qubit)
+        assert mixed.dtype == np.complex128
+        assert np.array_equal(mixed, qsim.apply_1q(psi.astype(complex), u3_mats, qubit))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_apply_1q_keeps_memory_layout(order):
+    rng = np.random.default_rng(29)
+    psi = real_batch(rng, order)
+    for mats in (qsim.u3_matrices(0.4), qsim.u3_matrices(0.4, 1.0, 2.0)):
+        for qubit in range(4):
+            out = qsim.apply_1q(psi, mats, qubit)
+            assert out.flags.f_contiguous if order == "F" else out.flags.c_contiguous
+
+
+@pytest.mark.parametrize("pairs", [
+    ((0, 1), (1, 2), (2, 3), (3, 4)),
+    ((3, 0), (0, 4), (4, 3), (1, 2), (2, 1), (0, 3), (4, 1)),
+])
+def test_cx_chain_equals_gates_one_by_one(pairs):
+    rng = np.random.default_rng(31)
+    psi = rng.normal(size=(5, 32)) + 1j * rng.normal(size=(5, 32))
+    one_by_one = psi
+    for control, target in pairs:
+        one_by_one = qsim.apply_cx(one_by_one, control, target)
+    assert np.array_equal(qsim.apply_cx_chain(psi, pairs), one_by_one)
+
+
 # Property tests: derandomized, so every run draws the same examples.
 PROPERTY = settings(derandomize=True, deadline=None)
 ANGLE = st.floats(-2 * np.pi, 2 * np.pi)

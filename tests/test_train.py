@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qubitnet import train
-from qubitnet.arch import PARTIAL_CHAIN, Architecture
+from qubitnet import arch, train
+from qubitnet.arch import FULLY_ENTANGLED, PARTIAL_CHAIN, Architecture
 from qubitnet.train import TrainConfig
 
 
@@ -31,7 +31,7 @@ def test_loss_nonnegative():
 
 def test_gradient_at_stationary_point_is_zero():
     a = Architecture(2, 1, PARTIAL_CHAIN)
-    g = train.finite_diff_gradient(a, np.zeros(2), 0, np.zeros(2), 0.01)
+    _, g = train.finite_diff_gradient(a, np.zeros(2), 0, np.zeros(2), 0.01)
     assert np.max(np.abs(g)) < 1e-8
 
 
@@ -42,9 +42,24 @@ ANALYTIC_ANGLES = [0.3, 0.9, 1.5, 2.2, 2.9]
 def test_gradient_matches_closed_form(theta):
     # 1-qubit net, input 0, expected 1: loss = -ln(sin^2(t/2)), d/dt = -cot(t/2)
     a = Architecture(1, 1, PARTIAL_CHAIN)
-    g = train.finite_diff_gradient(a, np.zeros(1), 1, np.array([theta]), 1e-4)
+    _, g = train.finite_diff_gradient(a, np.zeros(1), 1, np.array([theta]), 1e-4)
     analytic = -1.0 / math.tan(theta / 2)
     assert g[0] == pytest.approx(analytic, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [Architecture(10, 2, PARTIAL_CHAIN), Architecture(3, 1, FULLY_ENTANGLED)],
+    ids=["chain", "full"],
+)
+def test_gradient_returns_loss_of_unshifted_params(a):
+    rng = np.random.default_rng(8)
+    angles = rng.uniform(0, np.pi, a.n_qubits)
+    params = rng.uniform(-1, 1, arch.param_count(a))
+    for label in (0, 1):
+        value, _ = train.finite_diff_gradient(a, angles, label, params, 0.01)
+        expected = train.loss(label, arch.forward(a, angles, params))
+        assert math.isclose(value, expected, rel_tol=1e-14, abs_tol=1e-14)
 
 
 def test_gradient_halving_step_converges_quadratically():
@@ -53,7 +68,7 @@ def test_gradient_halving_step_converges_quadratically():
     exact = -1.0  # -cot(pi/4)
     err = []
     for h in (0.1, 0.05, 0.025):
-        g = train.finite_diff_gradient(a, np.zeros(1), 1, theta, h)
+        _, g = train.finite_diff_gradient(a, np.zeros(1), 1, theta, h)
         err.append(abs(g[0] - exact))
     assert err[1] == pytest.approx(err[0] / 4, rel=0.1)
     assert err[2] == pytest.approx(err[1] / 4, rel=0.1)
@@ -95,6 +110,21 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("initial_rate", math.nan),
+        ("initial_rate", math.inf),
+        ("fd_step", math.nan),
+        ("fd_step", math.inf),
+        ("loss_clip_epsilon", math.nan),
+    ],
+)
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainConfig(**{field: value})
 
 
 def test_init_params_modes():
@@ -161,6 +191,20 @@ def test_train_online_records_params_when_asked():
     _, metrics = train.train_online(a, dataset, cfg, np.array([0.2]), record_params=True)
     assert len(metrics.param_snapshots) == len(metrics.losses)
     assert np.array_equal(metrics.param_snapshots[0], [0.2])
+
+
+def test_recorded_losses_are_losses_of_recorded_params():
+    a = Architecture(3, 2, PARTIAL_CHAIN)
+    rng = np.random.default_rng(4)
+    dataset = [(rng.uniform(0, np.pi, 3), int(rng.integers(2))) for _ in range(8)]
+    cfg = TrainConfig(epochs=2, decay_patience=5)
+    init = train.init_params(a, "random", seed=1)
+    _, m = train.train_online(a, dataset, cfg, init, record_params=True)
+    assert len(m.losses) == len(m.param_snapshots) == 16
+    for recorded, params, i in zip(m.losses, m.param_snapshots, m.sample_indices):
+        angles, label = dataset[i]
+        expected = train.loss(label, arch.forward(a, angles, params))
+        assert math.isclose(recorded, expected, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_train_online_rejects_empty_set():
