@@ -75,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config_file(path: str) -> dict:
-    values = {}
+def parse_config_file(path: str) -> list[tuple[int, str, str]]:
+    """(1-based line, key, value) for each key=value line, in file order."""
+    entries = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -84,8 +85,8 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
+        entries.append((lineno, key.strip(), value.strip()))
+    return entries
 
 
 _BOOL_KEYS = ("shuffle", "record_params")
@@ -98,15 +99,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     cfg.update({"data": None, "params": None, "image": None, "patch_row": None, "patch_col": None})
     if args.config:
-        for key, value in parse_config_file(args.config).items():
+        for lineno, key, value in parse_config_file(args.config):
             if key == "command":
                 continue
             if key in _BOOL_KEYS:
                 cfg[key] = value.lower() in ("1", "true", "yes")
-            elif key in _INT_KEYS:
-                cfg[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                cfg[key] = float(value)
+            elif key in _INT_KEYS or key in _FLOAT_KEYS:
+                convert, kind = (int, "an integer") if key in _INT_KEYS else (float, "a number")
+                try:
+                    cfg[key] = convert(value)
+                except ValueError:
+                    raise ValueError(
+                        f"{args.config}:{lineno}: {key}={value!r} is not {kind}"
+                    ) from None
             elif value.lower() == "none":
                 cfg[key] = None
             else:
@@ -132,15 +137,21 @@ def write_config_echo(cfg: dict, out: Path):
 
 
 def load_params_file(path: str, expected: int) -> np.ndarray:
-    """The value column of a final_params file; errors name the file and line."""
+    """The value column of a final_params file; errors name the file and line.
+
+    The index column must read 0, 1, ..., P-1 in order, so a reordered or
+    hand-edited file cannot assign values to the wrong parameters.
+    """
     values = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
         next(reader, None)  # header
-        for row in reader:
+        for k, row in enumerate(reader):
             where = f"params file {path} line {reader.line_num}"
             if len(row) < 2:
                 raise ValueError(f"{where}: expected index,value, got {row}")
+            if row[0].strip() != str(k):
+                raise ValueError(f"{where}: expected index {k}, got {row[0]!r}")
             try:
                 values.append(float(row[1]))
             except ValueError:

@@ -179,11 +179,21 @@ def load_pgm(path) -> np.ndarray:
     if maxval <= 0:
         raise ValueError(f"{path}: invalid maxval {maxval}")
     if magic == b"P2":
-        values = np.array(raw[pos:].split(), dtype=float)
+        pixels = raw[pos:].split()
+        # -1 marks a token that is not a plain decimal integer
+        values = np.array([int(t) if t.isdigit() else -1 for t in pixels], dtype=float)
     else:
         pos += 1  # single whitespace after maxval
         dtype = ">u2" if maxval > 255 else np.uint8
         values = np.frombuffer(raw, dtype=dtype, count=width * height, offset=pos).astype(float)
     if values.size != width * height:
         raise ValueError(f"{path}: expected {width * height} pixels, got {values.size}")
+    outside = (values < 0) | (values > maxval)
+    if outside.any():
+        i = int(np.argmax(outside))
+        shown = pixels[i].decode(errors="replace") if magic == b"P2" else int(values[i])
+        raise ValueError(
+            f"{path}: pixel (row {i // width}, col {i % width}) is {shown!r}, "
+            f"not an integer in 0..{maxval}"
+        )
     return values.reshape(height, width) / maxval

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qubitnet import arch, qsim
+from qubitnet import arch, qsim, train
 from qubitnet.arch import FULLY_ENTANGLED, PARTIAL_CHAIN, Architecture
 
 
@@ -153,7 +153,21 @@ def test_partial_chain_run_allocates_no_complex_array(monkeypatch):
         monkeypatch.setattr(qsim, name, spy)
     a = Architecture(4, 2, PARTIAL_CHAIN)
     arch.forward_batch(a, np.full(4, 0.7), np.ones((3, 8)))
-    assert len(dtypes) == 1 + 2 * 8 + 2 and set(dtypes) == {np.dtype(np.float64)}
+    assert len(dtypes) == 1 + 1 + 8 + 2 and set(dtypes) == {np.dtype(np.float64)}
+
+
+def test_fd_batch_updates_only_rows_that_have_branched(monkeypatch):
+    updated = []
+    def spy(*args, _kernel=qsim.apply_1q):
+        out = _kernel(*args)
+        updated.append(len(out))
+        return out
+    monkeypatch.setattr(qsim, "apply_1q", spy)
+    a = Architecture(4, 2, PARTIAL_CHAIN)
+    train.finite_diff_gradient(a, np.full(4, 0.7), 1, np.linspace(-1, 1, 8), 0.01)
+    # 17 rows; the j-th of the 8 RY rotations updates the unshifted row and
+    # the 2j rows shifted at or before it: 80 row-updates, not 17 * 8 = 136.
+    assert sum(updated) == sum(1 + 2 * j for j in range(1, 9)) == 80
 
 
 def test_forward_batch_rejects_wrong_row_length():
@@ -194,8 +208,43 @@ def batches(draw):
     return a, angles, rows, order
 
 
+@st.composite
+def prefix_batches(draw):
+    """Like `batches`, but most rows share a prefix with one base row.
+
+    Rows are FD-shaped (one parameter shifted), first differ at the last
+    parameter, differ from some parameter on, duplicate an earlier row, or
+    copy the base row; the row order puts any of them first.
+    """
+    a = draw(st.sampled_from([
+        Architecture(3, 2, PARTIAL_CHAIN),
+        Architecture(5, 1, PARTIAL_CHAIN),
+        Architecture(3, 1, FULLY_ENTANGLED),
+    ]))
+    n_params = arch.param_count(a)
+    angle = st.floats(-np.pi, np.pi)
+    angles = draw(arrays(float, a.n_qubits, elements=st.floats(0, np.pi)))
+    base = draw(arrays(float, n_params, elements=angle))
+    rows = [base]
+    for _ in range(draw(st.integers(0, 7))):
+        row = base.copy()
+        kind = draw(st.sampled_from(["shift", "last", "tail", "duplicate", "copy"]))
+        if kind == "shift":
+            row[draw(st.integers(0, n_params - 1))] += draw(st.sampled_from([-0.01, 0.01]))
+        elif kind == "last":
+            row[-1] = draw(angle)
+        elif kind == "tail":
+            k = draw(st.integers(0, n_params - 1))
+            row[k:] = draw(arrays(float, n_params - k, elements=angle))
+        elif kind == "duplicate":
+            row = rows[draw(st.integers(0, len(rows) - 1))].copy()
+        rows.append(row)
+    order = np.array(draw(st.permutations(range(len(rows)))))
+    return a, angles, np.array(rows), order
+
+
 @PROPERTY
-@given(batches())
+@given(st.one_of(batches(), prefix_batches()))
 def test_forward_batch_is_row_permutation_equivariant(batch):
     a, angles, rows, order = batch
     out = arch.forward_batch(a, angles, rows)
@@ -203,7 +252,7 @@ def test_forward_batch_is_row_permutation_equivariant(batch):
 
 
 @PROPERTY
-@given(batches())
+@given(st.one_of(batches(), prefix_batches()))
 def test_row_alone_matches_row_in_batch(batch):
     a, angles, rows, _ = batch
     out = arch.forward_batch(a, angles, rows)

@@ -163,6 +163,39 @@ def test_malformed_params_file_names_file_and_line(bad_line, message, small_csv,
     assert f"error: params file {params} line 11: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "indices, line, message",
+    [
+        ([1, 0] + list(range(2, 10)), 2, "expected index 0, got '1'"),
+        (list(range(9)) + [8], 11, "expected index 9, got '8'"),
+        (list(range(5)) + list(range(6, 11)), 7, "expected index 5, got '6'"),
+        (list(range(9)) + ["9.0"], 11, "expected index 9, got '9.0'"),
+    ],
+    ids=["reordered", "duplicated", "missing", "non-integer"],
+)
+def test_params_file_index_must_count_up(indices, line, message, small_csv, tmp_path, capsys):
+    params = tmp_path / "p"
+    params.write_text("index,value\n" + "".join(f"{k},0.{k}\n" for k in indices))
+    rc = cli.main([
+        "evaluate", "--data", str(small_csv), "--params", str(params),
+        "--out", str(tmp_path / "e"), "--qubits", "10", "--layers", "1",
+    ])
+    assert rc == 1
+    assert f"error: params file {params} line {line}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [("rate=abc", "rate='abc' is not a number"), ("epochs=2.5", "epochs='2.5' is not an integer")],
+    ids=["float", "int"],
+)
+def test_config_file_bad_value_names_file_line_and_key(entry, message, small_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"# run\ndata={small_csv}\n{entry}\n")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert f"error: {cfg}:3: {message}" in capsys.readouterr().err
+
+
 def test_train_rejects_non_finite_fd_step(small_csv, tmp_path, capsys):
     assert cli.main(train_args(small_csv, tmp_path / "run", ["--fd-step", "nan"])) == 1
     assert "fd_step must be finite and > 0, got nan" in capsys.readouterr().err

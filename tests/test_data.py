@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,22 @@ def test_load_pgm_binary(tmp_path):
     img = data.load_pgm(p)
     assert img.shape == (4, 4)
     assert img[3, 3] == pytest.approx(15 / 255)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"P2\n3 2\n255\n0 128 255\n64 nan 16\n", "pixel (row 1, col 1) is 'nan'"),
+        (b"P2\n3 2\n255\n0 128 300\n64 32 16\n", "pixel (row 0, col 2) is '300'"),
+        (b"P5\n2 1\n100\n\x05\xc8", "pixel (row 0, col 1) is 200"),
+    ],
+    ids=["p2-nan", "p2-above-maxval", "p5-above-maxval"],
+)
+def test_load_pgm_rejects_bad_pixel_with_position(content, message, tmp_path):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(content)
+    with pytest.raises(ValueError, match=re.escape(f"{p}: {message}, not an integer in 0..")):
+        data.load_pgm(p)
 
 
 def test_load_pgm_rejects_other_formats(tmp_path):
