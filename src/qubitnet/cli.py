@@ -304,10 +304,22 @@ def run_export_curves(cfg: dict) -> int:
     loss_path = out / "loss.csv"
     if not loss_path.exists():
         raise ValueError(f"{loss_path} not found; run train first")
+    losses, rates = [], []
     with open(loss_path, newline="") as f:
-        rows = list(csv.reader(f))[1:]
-    losses = np.array([float(r[2]) for r in rows])
-    rates = [r[3] for r in rows]
+        reader = csv.reader(f)
+        next(reader, None)  # header
+        for row in reader:
+            where = f"{loss_path} line {reader.line_num}"
+            if len(row) < 4:
+                raise ValueError(f"{where}: expected iteration,sample_index,loss,rate, got {row}")
+            for name, value in (("loss", row[2]), ("rate", row[3])):
+                try:
+                    float(value)
+                except ValueError:
+                    raise ValueError(f"{where}: {name} {value!r} is not a number") from None
+            losses.append(float(row[2]))
+            rates.append(row[3])
+    losses = np.array(losses)
     window = cfg["patience"]
     running = [losses[max(0, i + 1 - window) : i + 1].mean() for i in range(len(losses))]
     write_csv(

@@ -45,6 +45,9 @@ class FeatureBounds:
         for lo, hi in zip(self.mins, self.maxs):
             if lo > hi:
                 raise ValueError("each min must be <= its max")
+            # An infinite span would make `encode` divide inf by inf.
+            if not math.isfinite(float(hi) - float(lo)):
+                raise ValueError(f"feature range {lo}..{hi} is not a finite float span")
 
 
 def load_wbc_csv(path) -> list[Sample]:
@@ -107,7 +110,7 @@ def encode(sample: Sample, bounds: FeatureBounds) -> np.ndarray:
     mins = np.asarray(bounds.mins)
     maxs = np.asarray(bounds.maxs)
     span = maxs - mins
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         frac = np.where(span > 0, (x - mins) / np.where(span > 0, span, 1.0), 0.0)
     return np.clip(frac, 0.0, 1.0) * np.pi
 
@@ -184,8 +187,10 @@ def load_pgm(path) -> np.ndarray:
         values = np.array([int(t) if t.isdigit() else -1 for t in pixels], dtype=float)
     else:
         pos += 1  # single whitespace after maxval
-        dtype = ">u2" if maxval > 255 else np.uint8
-        values = np.frombuffer(raw, dtype=dtype, count=width * height, offset=pos).astype(float)
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        # A short body reads as fewer pixels, which the size check below names.
+        count = min(width * height, max(0, len(raw) - pos) // dtype.itemsize)
+        values = np.frombuffer(raw, dtype=dtype, count=count, offset=min(pos, len(raw))).astype(float)
     if values.size != width * height:
         raise ValueError(f"{path}: expected {width * height} pixels, got {values.size}")
     outside = (values < 0) | (values > maxval)

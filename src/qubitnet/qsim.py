@@ -8,15 +8,16 @@ amplitudes themselves:
 - RY(theta) = U3(theta, 0, 0); RZ(phi) = diag(1, e^{i phi}) = U3(0, phi, 0)
 
 There is one kernel. It works on a batch of B states held as a (B, 2^n)
-array, one state per row: `apply_1q` applies one 2x2 matrix per row (built
-by `u3_matrices`), `apply_cx_chain` applies a run of CX gates as one
-permutation of amplitudes (`apply_cx` is its one-gate case), and
-`prob_one_rows` reads P(1) on a qubit for every row. `apply_gate`,
-`run_circuit` and `prob_one` are its one-row case on `StateVector` and
-`Gate` objects. Probabilities are computed exactly from amplitudes.
+array, one state per row: `ry_product_state` writes the RY encodings of B
+inputs, `apply_1q` applies one 2x2 matrix per row (built by `u3_matrices`),
+`apply_cx_chain` applies a run of CX gates as one permutation of amplitudes
+(`apply_cx` is its one-gate case), and `prob_one_rows` reads P(1) on a
+qubit for every row. `apply_gate`, `run_circuit` and `prob_one` are its
+one-row case on `StateVector` and `Gate` objects. Probabilities are
+computed exactly from amplitudes.
 
 The dtype follows the gates. RY matrices are real, so `u3_matrices(theta)`
-and the RY product state `ry_product_state` are float64, and `apply_1q`
+and the RY product states of `ry_product_state` are float64, and `apply_1q`
 returns the common type of its state and matrices: an RY/CX circuit on an RY
 encoding never allocates a complex array, and a state turns complex at its
 first U3 or RZ. This is exact: with zero imaginary parts the complex path
@@ -25,17 +26,18 @@ computes the same real products and sums.
 States are kept batch-innermost (Fortran-ordered): one amplitude index of
 all rows sits in one contiguous run. A C-ordered gather made the 541-row
 fully-entangled batch 1.5x slower (782 -> 1172 ms per batch, 2-core Xeon).
-`apply_1q` and `apply_cx_chain` write into a caller-given `out`, so a caller
-can run a whole circuit in two reused buffers; `out` may be a compact
-batch-innermost view of the leading part of a larger buffer, and `apply_1q`
-may read one row of psi for every row of `out`. Without `out`, each
-allocates a new array (`apply_1q` keeps psi's layout, the gather makes it
-batch-innermost). The gather is `np.take` on the transposed (2^n, B) arrays
-along their contiguous axis 0, with `mode="clip"` (the index is a
-permutation), which writes straight into `out`. On a 2-core Xeon, for 41
-and 541 rows of 1024 amplitudes, it took 0.7-0.9x the time of `psi[:, perm]`;
-the default mode, which gathers into a temporary first, 1.6-2.9x; and
-`np.take` along axis 1 into the strided `out`, 15-20x.
+`ry_product_state`, `apply_1q` and `apply_cx_chain` write into a
+caller-given `out`, so a caller can run a whole circuit in two reused
+buffers; `out` may be a compact batch-innermost view of the leading part of
+a larger buffer, and `apply_1q` may read one row of psi for every row of
+`out`. Without `out`, each allocates a new array (`apply_1q` keeps psi's
+layout; the gather and the encoder make it batch-innermost). The gather is
+`np.take` on the transposed (2^n, B) arrays along their contiguous axis 0,
+with `mode="clip"` (the index is a permutation), which writes straight into
+`out`. On a 2-core Xeon, for 41 and 541 rows of 1024 amplitudes, it took
+0.7-0.9x the time of `psi[:, perm]`; the default mode, which gathers into a
+temporary first, 1.6-2.9x; and `np.take` along axis 1 into the strided
+`out`, 15-20x.
 
 `dense_oracle` multiplies full 2^n x 2^n matrices instead; it exists only
 as an independent cross-check for tests.
@@ -148,12 +150,28 @@ def _check_qubit(state: StateVector, q: int):
         raise IndexError(f"qubit {q} out of range for {state.n_qubits}-qubit state")
 
 
-def ry_product_state(angles) -> np.ndarray:
-    """RY(angles[q]) on each qubit q of |0...0>, as a real (1, 2^n) batch of one row."""
-    psi = np.ones(1)
-    for a in angles:  # each later qubit is a more significant bit
-        psi = np.kron([np.cos(a / 2.0), np.sin(a / 2.0)], psi)
-    return psi.reshape(1, -1)
+def ry_product_state(angles: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """RY(angles[b, q]) on each qubit q of |0...0>, for each row b of angles (B, n).
+
+    The (B, 2^n) product states are written into `out` when given, else into
+    a new real batch-innermost array. Qubit by qubit, in the transposed
+    (2^n, B) view: the amplitudes with qubit q set are those without it times
+    sin, then those without it are scaled by cos. These are the products a
+    Kronecker product of the (cos, sin) pairs forms, so the amplitudes are
+    bit-identical to it, and no temporary state is made.
+    """
+    n_rows, n = angles.shape
+    if out is None:
+        out = np.empty((1 << n, n_rows)).T
+    t = out.T
+    half = angles.T / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    t[0] = 1.0
+    for q in range(n):  # each later qubit is a more significant bit
+        low = t[: 1 << q]
+        np.multiply(low, sin[q], out=t[1 << q : 2 << q])
+        low *= cos[q]
+    return out
 
 
 def apply_1q(

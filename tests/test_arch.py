@@ -176,6 +176,22 @@ def test_forward_batch_rejects_wrong_row_length():
         arch.forward_batch(a, np.zeros(3), np.zeros((2, 4)))
 
 
+def test_forward_batch_rejects_inputs_that_do_not_match_rows():
+    a = Architecture(3, 1, PARTIAL_CHAIN)
+    with pytest.raises(ValueError, match="2 inputs do not match 3 parameter rows"):
+        arch.forward_batch(a, np.zeros((2, 3)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="expected one input"):
+        arch.forward(a, np.zeros((2, 3)), np.zeros(3))
+
+
+def test_check_input_names_bad_row_of_batch():
+    a = Architecture(2, 1, PARTIAL_CHAIN)
+    with pytest.raises(ValueError, match=r"input row 2: angles must be finite"):
+        arch.check_input(a, [[0.0, 0.1], [0.2, 0.3], [0.0, np.nan]])
+    with pytest.raises(ValueError, match=r"input row 1: angles must be finite"):
+        arch.check_input(a, [[0.0, 0.1], [4.0, 0.3]])
+
+
 def test_forward_is_continuous_in_each_param():
     a = Architecture(3, 1, PARTIAL_CHAIN)
     rng = np.random.default_rng(5)
@@ -191,16 +207,17 @@ def test_forward_is_continuous_in_each_param():
 
 # Property tests: derandomized, so every run draws the same examples.
 PROPERTY = settings(derandomize=True, deadline=None)
+ARCHITECTURES = st.sampled_from([
+    Architecture(3, 2, PARTIAL_CHAIN),
+    Architecture(5, 1, PARTIAL_CHAIN),
+    Architecture(3, 1, FULLY_ENTANGLED),
+])
 
 
 @st.composite
 def batches(draw):
     """An architecture, one input, a batch of parameter rows and a row order."""
-    a = draw(st.sampled_from([
-        Architecture(3, 2, PARTIAL_CHAIN),
-        Architecture(5, 1, PARTIAL_CHAIN),
-        Architecture(3, 1, FULLY_ENTANGLED),
-    ]))
+    a = draw(ARCHITECTURES)
     b = draw(st.integers(1, 8))
     angles = draw(arrays(float, a.n_qubits, elements=st.floats(0, np.pi)))
     rows = draw(arrays(float, (b, arch.param_count(a)), elements=st.floats(-np.pi, np.pi)))
@@ -216,11 +233,7 @@ def prefix_batches(draw):
     parameter, differ from some parameter on, duplicate an earlier row, or
     copy the base row; the row order puts any of them first.
     """
-    a = draw(st.sampled_from([
-        Architecture(3, 2, PARTIAL_CHAIN),
-        Architecture(5, 1, PARTIAL_CHAIN),
-        Architecture(3, 1, FULLY_ENTANGLED),
-    ]))
+    a = draw(ARCHITECTURES)
     n_params = arch.param_count(a)
     angle = st.floats(-np.pi, np.pi)
     angles = draw(arrays(float, a.n_qubits, elements=st.floats(0, np.pi)))
@@ -243,18 +256,58 @@ def prefix_batches(draw):
     return a, angles, np.array(rows), order
 
 
+@st.composite
+def input_batches(draw):
+    """Like `batches`, but with one input per row: (B, n) inputs.
+
+    Rows differ from a base row in their input (in all angles or in one), in
+    their parameters (all of them or one shifted), or in both; or they
+    duplicate an earlier row or copy the base row. The row order puts any of
+    them first.
+    """
+    a = draw(ARCHITECTURES)
+    n_params = arch.param_count(a)
+    new_input = arrays(float, a.n_qubits, elements=st.floats(0, np.pi))
+    new_params = arrays(float, n_params, elements=st.floats(-np.pi, np.pi))
+    inputs, rows = [draw(new_input)], [draw(new_params)]
+    for _ in range(draw(st.integers(0, 7))):
+        x, p = inputs[0].copy(), rows[0].copy()
+        kind = draw(st.sampled_from(["input", "angle", "params", "shift", "both", "duplicate", "copy"]))
+        if kind in ("input", "both"):
+            x = draw(new_input)
+        if kind in ("params", "both"):
+            p = draw(new_params)
+        if kind == "angle":
+            x[draw(st.integers(0, a.n_qubits - 1))] = draw(st.floats(0, np.pi))
+        elif kind == "shift":
+            x = draw(new_input)
+            p[draw(st.integers(0, n_params - 1))] += 0.01
+        elif kind == "duplicate":
+            i = draw(st.integers(0, len(rows) - 1))
+            x, p = inputs[i].copy(), rows[i].copy()
+        inputs.append(x)
+        rows.append(p)
+    order = np.array(draw(st.permutations(range(len(rows)))))
+    return a, np.array(inputs), np.array(rows), order
+
+
+ALL_BATCHES = st.one_of(batches(), prefix_batches(), input_batches())
+
+
 @PROPERTY
-@given(st.one_of(batches(), prefix_batches()))
+@given(ALL_BATCHES)
 def test_forward_batch_is_row_permutation_equivariant(batch):
     a, angles, rows, order = batch
     out = arch.forward_batch(a, angles, rows)
-    assert np.array_equal(arch.forward_batch(a, angles, rows[order]), out[order])
+    permuted = angles[order] if angles.ndim == 2 else angles
+    assert np.array_equal(arch.forward_batch(a, permuted, rows[order]), out[order])
 
 
 @PROPERTY
-@given(st.one_of(batches(), prefix_batches()))
+@given(ALL_BATCHES)
 def test_row_alone_matches_row_in_batch(batch):
     a, angles, rows, _ = batch
     out = arch.forward_batch(a, angles, rows)
-    alone = [arch.forward(a, angles, r) for r in rows]
+    inputs = np.broadcast_to(angles, (len(rows), a.n_qubits))
+    alone = [arch.forward(a, x, r) for x, r in zip(inputs, rows)]
     assert np.max(np.abs(out - alone)) < 1e-12

@@ -201,6 +201,12 @@ def test_train_rejects_non_finite_fd_step(small_csv, tmp_path, capsys):
     assert "fd_step must be finite and > 0, got nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["3.2", repr(math.pi)])
+def test_train_rejects_fd_step_of_pi_or_more(value, small_csv, tmp_path, capsys):
+    assert cli.main(train_args(small_csv, tmp_path / "run", ["--fd-step", value])) == 1
+    assert f"fd_step must be < pi, got {value}" in capsys.readouterr().err
+
+
 def test_predict_zero_patch_zero_params(tmp_path, capsys):
     pgm = tmp_path / "img.pgm"
     pgm.write_text("P2\n4 4\n255\n" + " ".join(["0"] * 16) + "\n")
@@ -245,3 +251,20 @@ def test_export_curves(small_csv, tmp_path):
 def test_export_curves_requires_prior_run(tmp_path, capsys):
     rc = cli.main(["export-curves", "--out", str(tmp_path / "empty")])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,1,abc,0.2", "loss 'abc' is not a number"),
+        ("1,1,0.5,x", "rate 'x' is not a number"),
+        ("1,1,0.5", "expected iteration,sample_index,loss,rate, got ['1', '1', '0.5']"),
+    ],
+    ids=["loss-non-number", "rate-non-number", "missing-column"],
+)
+def test_export_curves_malformed_loss_csv_names_file_and_line(row, message, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "loss.csv").write_text(f"iteration,sample_index,loss,rate\n0,0,0.7,0.2\n{row}\n")
+    assert cli.main(["export-curves", "--out", str(out)]) == 1
+    assert f"error: {out / 'loss.csv'} line 3: {message}" in capsys.readouterr().err

@@ -1,7 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubitnet import data
 
@@ -146,6 +149,28 @@ def test_encode_is_monotone_per_feature():
         assert ea[k] <= eb[k]
 
 
+# Any finite float, with the extremes drawn often enough to overflow a span.
+FEATURE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-1.7e308, 1.7e308])
+FEATURES = st.lists(FEATURE, min_size=10, max_size=10)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(FEATURES, min_size=1, max_size=4), st.lists(st.booleans(), min_size=10, max_size=10), FEATURES)
+def test_encoded_angles_lie_in_zero_to_pi(train_rows, constant, other):
+    # Columns marked constant hold row 0's value in every training row; `other`
+    # is any finite row, its values inside or outside the training min-max.
+    rows = [[r0 if c else v for v, r0, c in zip(row, train_rows[0], constant)] for row in train_rows]
+    samples = [data.Sample(tuple(r), 0) for r in rows]
+    if not all(math.isfinite(max(col) - min(col)) for col in zip(*rows)):
+        with pytest.raises(ValueError, match="not a finite float span"):
+            data.compute_bounds(samples)
+        return
+    bounds = data.compute_bounds(samples)
+    for s in samples + [data.Sample(tuple(other), 1)]:
+        angles = data.encode(s, bounds)
+        assert np.all((angles >= 0) & (angles <= np.pi))
+
+
 def test_split_prefix():
     samples = data.load_wbc_csv(WDBC)
     train, test = data.split(samples, 100)
@@ -244,6 +269,21 @@ def test_load_pgm_rejects_bad_pixel_with_position(content, message, tmp_path):
     p = tmp_path / "bad.pgm"
     p.write_bytes(content)
     with pytest.raises(ValueError, match=re.escape(f"{p}: {message}, not an integer in 0..")):
+        data.load_pgm(p)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"P5\n4 4\n255\n" + bytes(range(10)), "expected 16 pixels, got 10"),
+        (b"P5\n2 2\n1000\n\x00\x01\x00\x02\x00", "expected 4 pixels, got 2"),
+    ],
+    ids=["8-bit", "16-bit"],
+)
+def test_load_pgm_short_p5_body_names_file(content, message, tmp_path):
+    p = tmp_path / "short.pgm"
+    p.write_bytes(content)
+    with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
         data.load_pgm(p)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qubitnet import qsim
 
@@ -251,3 +252,26 @@ def test_run_circuit_matches_dense_oracle_property(circuit):
 def test_run_circuit_preserves_norm_property(circuit):
     n, gates = circuit
     assert abs(qsim.run_circuit(n, gates).norm_sq() - 1.0) < 1e-12
+
+
+def kron_product_state(angles):
+    """Reference RY encoding of one input: one np.kron per qubit."""
+    psi = np.ones(1)
+    for a in angles:  # each later qubit is a more significant bit
+        psi = np.kron([np.cos(a / 2.0), np.sin(a / 2.0)], psi)
+    return psi
+
+
+@PROPERTY
+@given(arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 6)), elements=st.floats(0, np.pi)))
+def test_ry_product_state_equals_kron(angles):
+    expected = np.array([kron_product_state(row) for row in angles])
+    assert np.array_equal(qsim.ry_product_state(angles), expected)
+    # Into the leading block of a larger buffer, as a batch-innermost view,
+    # in the complex dtype a fully-entangled run holds its states in.
+    b, dim = len(angles), 1 << angles.shape[1]
+    buffer = np.full((b + 2) * dim, np.nan, dtype=complex)
+    out = buffer[: b * dim].reshape(dim, b).T
+    assert qsim.ry_product_state(angles, out) is out
+    assert np.array_equal(out, expected)
+    assert np.isnan(buffer[b * dim :]).all()

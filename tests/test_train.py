@@ -127,6 +127,22 @@ def test_config_rejects_non_finite(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [math.pi, 3.2, 6.0])
+def test_config_rejects_fd_step_of_pi_or_more(value):
+    with pytest.raises(ValueError, match="fd_step must be < pi"):
+        TrainConfig(fd_step=value)
+
+
+def test_central_difference_vanishes_at_fd_step_pi():
+    # theta + pi and theta - pi give the same state up to sign, whatever the slope.
+    a = Architecture(3, 2, PARTIAL_CHAIN)
+    rng = np.random.default_rng(6)
+    params = rng.uniform(-1, 1, 6)
+    _, g = train.finite_diff_gradient(a, rng.uniform(0, np.pi, 3), 1, params, math.pi)
+    _, slope = train.finite_diff_gradient(a, rng.uniform(0, np.pi, 3), 1, params, 1e-4)
+    assert np.max(np.abs(g)) < 1e-12 < np.max(np.abs(slope))
+
+
 def test_init_params_modes():
     a = Architecture(4, 2, PARTIAL_CHAIN)
     assert np.array_equal(train.init_params(a), np.zeros(8))
@@ -235,3 +251,51 @@ def test_evaluate_rejects_empty():
     a = Architecture(1, 1, PARTIAL_CHAIN)
     with pytest.raises(ValueError):
         train.evaluate(a, np.zeros(1), [])
+
+
+def scoring_set(a, size, seed=0):
+    rng = np.random.default_rng(seed)
+    dataset = [(rng.uniform(0, np.pi, a.n_qubits), int(rng.integers(2))) for _ in range(size)]
+    if size > 2:
+        dataset[2] = (dataset[0][0].copy(), 1 - dataset[0][1])  # row 0's input again
+    return dataset
+
+
+CHUNK = train.EVAL_CHUNK
+
+
+@pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize(
+    "a",
+    [Architecture(4, 2, PARTIAL_CHAIN), Architecture(3, 1, FULLY_ENTANGLED)],
+    ids=["chain", "full"],
+)
+def test_evaluate_matches_per_row_forward(a, size):
+    params = np.random.default_rng(size).uniform(-1, 1, arch.param_count(a))
+    dataset = scoring_set(a, size)
+    m = train.evaluate(a, params, dataset)
+    alone = [arch.forward(a, angles, params) for angles, _ in dataset]
+    assert len(m.predictions) == size
+    assert np.max(np.abs(np.array(m.predictions) - alone)) < 1e-12
+    assert m.labels == [label for _, label in dataset]
+    assert m.per_sample_losses == [train.loss(y, p) for y, p in zip(m.labels, m.predictions)]
+
+
+def test_evaluate_runs_the_kernel_once_per_chunk(monkeypatch):
+    rows = []
+    def spy(*args, _kernel=arch._run):
+        rows.append(len(args[1]))
+        return _kernel(*args)
+    monkeypatch.setattr(arch, "_run", spy)
+    a = Architecture(3, 1, PARTIAL_CHAIN)
+    for size in (1, CHUNK, CHUNK + 1, 2 * CHUNK + 1):
+        rows.clear()
+        train.evaluate(a, np.zeros(3), scoring_set(a, size))
+        assert len(rows) == math.ceil(size / CHUNK) and sum(rows) == size
+
+
+def test_evaluate_names_bad_input_row():
+    a = Architecture(2, 1, PARTIAL_CHAIN)
+    dataset = [(np.zeros(2), 0)] * 70 + [(np.array([0.0, 4.0]), 1)]
+    with pytest.raises(ValueError, match="input row 70: angles must be finite"):
+        train.evaluate(a, np.zeros(2), dataset)
